@@ -160,8 +160,9 @@ fn main() {
     println!("\nwrote {} ({} rows); outputs verified identical across jobs {:?}", out.display(), rows.len(), JOBS);
 
     // Event-timeline artifact: one generate+kill pass at the widest sweep
-    // point under the journal — queue-wait vs run and turn-gate waits show
-    // up as `par.claim` instants and `generate/solve/gate` spans.
+    // point under the journal. Generation solves its targets in order on
+    // this thread; the kill check's queue-wait vs run shows up as
+    // `par.claim` instants.
     write_trace_artifact(out, || {
         let k = 4;
         let fks = relevant_fk_count(k);

@@ -8,11 +8,12 @@
 //! nullification per equivalence-class element, one per retained
 //! predicate×relation, three comparison datasets per conjunct, aggregate
 //! and HAVING group constructions, the duplicate-row dataset — as inert
-//! `PlanItem` values. The solve phase then runs the targets through
-//! [`xdata_par::try_par_map`]: every target is an independent constraint
-//! problem, so they solve concurrently on `GenOptions::jobs` threads while
-//! the order-preserving collection keeps the resulting [`TestSuite`]
-//! **byte-identical to the sequential output for every thread count**.
+//! `PlanItem` values. The solve phase then runs the targets one by one in
+//! plan order on the calling thread. Order matters: an incremental
+//! [`SolveSession`] carries learned clauses and saved phases from one
+//! target to the next, so the plan order is what the suite depends on.
+//! `GenOptions::jobs` parallelizes the kill check and grading, not this
+//! loop.
 //!
 //! Targets share one *constraint skeleton* per `(copies, repair_cap)`
 //! shape: the schema PK/FK closure, tuple arrays, symmetry breaking and
@@ -27,13 +28,11 @@
 //! any later target that builds the byte-identical problem. The common case
 //! is a comparison target whose forced operator *is* the predicate's
 //! original operator: its constraint set reproduces the original-query
-//! target's exactly. The memo blocks concurrent duplicates (first arriver
-//! computes, the rest wait), so hit/miss counts — and therefore the metrics
-//! report — stay deterministic for every `jobs` value.
+//! target's exactly.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use xdata_catalog::{DomainCatalog, Schema, Value};
 use xdata_par::CancelToken;
@@ -48,23 +47,16 @@ use crate::error::GenError;
 use crate::materialize::materialize;
 use crate::suite::{GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};
 use crate::warm::{
-    context_salt, lock_ignore_poison, memo_key, MemoEntry, MemoOutcome, MemoValue, PendingGuard,
-    SolveMemo, WarmCache,
+    context_salt, lock_ignore_poison, memo_key, MemoOutcome, MemoValue, SolveMemo, WarmCache,
 };
-
-/// Offset for `session` flow ids in the trace. `target` flows use the plan
-/// index, `session` flows the copies-class id; the offset keeps the two
-/// families in disjoint id spaces so Chrome/Perfetto never stitches a
-/// target arrow to a session arrow.
-const SESSION_FLOW_BASE: u64 = 0x5E55_0000_0000;
 
 /// Generate the complete test suite for `query` (Algorithm 1):
 /// a dataset for the original query, then datasets killing equivalence-class
 /// mutants, other-predicate mutants, comparison mutants and aggregation
 /// mutants. The number of datasets is linear in the query size.
 ///
-/// With `opts.jobs > 1` (or `0` for one thread per core) the solve targets
-/// run concurrently; the suite is identical to the `jobs = 1` output.
+/// The targets solve in plan order on the calling thread; `opts.jobs`
+/// does not apply here (it parallelizes the kill check and grading).
 pub fn generate(
     query: &NormQuery,
     schema: &Schema,
@@ -122,11 +114,10 @@ fn generate_impl(
     memo: &SolveMemo,
     warm: Option<(&WarmCache, u64)>,
 ) -> Result<TestSuite, GenError> {
-    // Two warm runs sharing a context salt would race their turn gates on
-    // the shared incremental sessions; serialize whole runs per salt (other
-    // tenants and other queries proceed in parallel). Fresh solves are
-    // pure, so session-less runs need no gate — the memo's key-level
-    // blocking dedup already covers them.
+    // Two warm runs sharing a context salt would interleave their targets
+    // on the shared incremental sessions; serialize whole runs per salt
+    // (other tenants and other queries proceed in parallel). Fresh solves
+    // are pure, so session-less runs need no gate.
     let _run_guard = match warm {
         Some((w, salt)) if crate::warm::sessions_enabled(opts) => Some(w.lock_run(salt)),
         _ => None,
@@ -142,7 +133,6 @@ fn generate_impl(
         opts,
         skeletons: Mutex::new(BTreeMap::new()),
         sessions: Mutex::new(BTreeMap::new()),
-        gate: TurnGate::default(),
         memo,
         warm,
     };
@@ -151,62 +141,23 @@ fn generate_impl(
         gen.plan()
     };
     xdata_obs::counter("core.targets.planned", plan.len() as u64);
-    // Plan-order sequence numbers for the session turn gate: one class per
-    // `copies` value, numbering exactly the targets that will touch that
-    // class's incremental sessions. `None` (plan-time skips, or sessions
-    // disabled) runs ungated.
-    let turns: Vec<Option<(u32, usize)>> = {
-        let mut next: HashMap<u32, usize> = HashMap::new();
-        plan.iter()
-            .map(|item| match &item.work {
-                Work::Solve(spec) if gen.sessions_enabled() => {
-                    let seq = next.entry(spec.copies()).or_insert(0);
-                    let s = *seq;
-                    *seq += 1;
-                    Some((spec.copies(), s))
-                }
-                _ => None,
-            })
-            .collect()
-    };
-    // Trace flows, opened on the coordinator so every start precedes its
-    // worker-side finish/steps in time: a `target` arrow per plan item
-    // (id = plan index) and a `session` arrow per copies-class chaining
-    // the turn order across that class's gated targets.
-    if xdata_obs::journal_enabled() {
-        let mut classes_started: HashSet<u32> = HashSet::new();
-        for (idx, turn) in turns.iter().enumerate() {
-            xdata_obs::flow("target", idx as u64, xdata_obs::FlowPhase::Start);
-            if let Some((class, _)) = turn {
-                if classes_started.insert(*class) {
-                    xdata_obs::flow(
-                        "session",
-                        SESSION_FLOW_BASE + u64::from(*class),
-                        xdata_obs::FlowPhase::Start,
-                    );
-                }
-            }
-        }
-    }
-    let outcomes = xdata_par::par_map_cancel(opts.jobs, &plan, cancel, |idx, item| {
-        gen.run_item(idx, item, turns[idx], cancel)
-    });
     let mut suite = TestSuite::default();
-    for (item, outcome) in plan.into_iter().zip(outcomes) {
+    for item in plan {
+        // Once the suite token trips, every remaining target is a labelled
+        // timeout skip; nothing is silently dropped.
+        let outcome = if cancel.is_cancelled() {
+            ItemOutcome::Skipped(SkipReason::Timeout)
+        } else {
+            gen.run_item(&item, cancel)?
+        };
         match outcome {
-            // The suite deadline tripped before this target was claimed.
-            None => suite
-                .skipped
-                .push(SkippedTarget { label: item.label, reason: SkipReason::Timeout }),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(ItemOutcome::Dataset(d))) => suite.datasets.push(d),
-            Some(Ok(ItemOutcome::Skipped(reason))) => {
+            ItemOutcome::Dataset(d) => suite.datasets.push(d),
+            ItemOutcome::Skipped(reason) => {
                 suite.skipped.push(SkippedTarget { label: item.label, reason })
             }
         }
     }
-    // Suite-level tallies, recorded on the assembling thread from the
-    // order-preserved outcomes — deterministic for every `jobs` value.
+    // Suite-level tallies, recorded once the suite is assembled.
     xdata_obs::counter("core.targets.solved", suite.datasets.len() as u64);
     xdata_obs::counter("core.targets.skipped", suite.skipped.len() as u64);
     let timed_out =
@@ -453,11 +404,8 @@ struct Gen<'a> {
     /// Incremental solving sessions keyed like [`Gen::skeletons`]: the
     /// skeleton is lowered into a long-lived CDCL engine once and each
     /// eligible target solves under assumptions, retaining learned clauses
-    /// across targets (see [`SolveSession`]). Access is serialized into
-    /// plan order by [`Gen::gate`].
+    /// across targets in plan order (see [`SolveSession`]).
     sessions: Mutex<BTreeMap<(u32, u32), Arc<SolveSession>>>,
-    /// Plan-order turn gate over session-eligible targets (see [`TurnGate`]).
-    gate: TurnGate,
     /// Cross-target solve memo (see [`crate::warm`]): run-local for a batch
     /// call, the process-long [`WarmCache`] memo for a warm one.
     memo: &'a SolveMemo,
@@ -466,65 +414,6 @@ struct Gen<'a> {
     /// hashed into every memo key, so batch and warm keys never mix even
     /// in a shared memo.
     warm: Option<(&'a WarmCache, u64)>,
-}
-
-/// Serializes session-eligible targets of one skeleton class (`copies`
-/// value) into plan order, whatever the thread schedule.
-///
-/// An incremental session's results depend on the order targets reach it —
-/// learned clauses and saved phases carry over — so unordered access would
-/// make the suite vary with `--jobs`. The gate pins the order: each
-/// eligible target gets a plan-time sequence number within its class and
-/// waits its turn. No deadlock is possible because `par_map_cancel` workers
-/// claim items through a monotonic cursor: every predecessor of a waiting
-/// item is already claimed, and the lowest unfinished sequence of a class
-/// is by construction never waiting.
-#[derive(Default)]
-struct TurnGate {
-    state: Mutex<HashMap<u32, usize>>,
-    advanced: Condvar,
-}
-
-impl TurnGate {
-    /// Block until `seq` is `class`'s current turn. Returns `false` —
-    /// without claiming the turn — if `cancel` trips while queued; waiters
-    /// behind the bailed item poll the token the same way, so the skipped
-    /// advance cannot strand them.
-    fn wait_for(&self, class: u32, seq: usize, cancel: &CancelToken) -> bool {
-        let mut st = lock_ignore_poison(&self.state);
-        loop {
-            if *st.entry(class).or_insert(0) >= seq {
-                return true;
-            }
-            if cancel.is_cancelled() {
-                return false;
-            }
-            let (g, _) = self
-                .advanced
-                .wait_timeout(st, std::time::Duration::from_millis(5))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = g;
-        }
-    }
-
-    fn advance(&self, class: u32) {
-        let mut st = lock_ignore_poison(&self.state);
-        *st.entry(class).or_insert(0) += 1;
-        self.advanced.notify_all();
-    }
-}
-
-/// Drop guard passing the class turn on every exit from a gated item —
-/// normal completion, a timeout skip, or a chaos panic unwinding through.
-struct TurnGuard<'g> {
-    gate: &'g TurnGate,
-    class: u32,
-}
-
-impl Drop for TurnGuard<'_> {
-    fn drop(&mut self) {
-        self.gate.advance(self.class);
-    }
 }
 
 /// Outcome of one targeted constraint set.
@@ -549,8 +438,7 @@ impl<'a> Gen<'a> {
     // ----- Phase 1: planning --------------------------------------------
 
     /// Enumerate every solve target in the order the sequential algorithm
-    /// attempts them; order is what makes parallel assembly reproduce the
-    /// sequential suite.
+    /// attempts them.
     fn plan(&self) -> Vec<PlanItem> {
         let mut plan = Vec::new();
         self.plan_original(&mut plan);
@@ -806,23 +694,13 @@ impl<'a> Gen<'a> {
 
     // ----- Phase 2: solving ---------------------------------------------
 
-    /// Execute one plan item. Pure function of the item (given the query,
-    /// schema, domains and options), so execution order cannot influence
-    /// any result — the determinism guarantee rests here. Degradation is
-    /// contained per item: a tripped token becomes a [`SkipReason::Timeout`]
-    /// skip, a panicking solve (chaos-injected or a genuine bug) is caught
-    /// and becomes [`SkipReason::Fault`] — neither can take down the suite.
-    fn run_item(
-        &self,
-        idx: usize,
-        item: &PlanItem,
-        turn: Option<(u32, usize)>,
-        cancel: &CancelToken,
-    ) -> Result<ItemOutcome, GenError> {
+    /// Execute one plan item. Degradation is contained per item: a tripped
+    /// token becomes a [`SkipReason::Timeout`] skip, a panicking solve
+    /// (chaos-injected or a genuine bug) is caught and becomes
+    /// [`SkipReason::Fault`] — neither can take down the suite.
+    fn run_item(&self, item: &PlanItem, cancel: &CancelToken) -> Result<ItemOutcome, GenError> {
         let _solve_span = xdata_obs::span_with("generate/solve", || item.label.clone());
-        // Close this plan item's flow arrow on the thread that solved it.
-        xdata_obs::flow("target", idx as u64, xdata_obs::FlowPhase::Finish);
-        let out = self.run_item_inner(item, turn, cancel);
+        let out = self.run_item_inner(item, cancel);
         if let Ok(ItemOutcome::Skipped(reason)) = &out {
             // The timeline attributes every skip inside the target's own
             // solve span, with the reason spelled out.
@@ -834,43 +712,11 @@ impl<'a> Gen<'a> {
     fn run_item_inner(
         &self,
         item: &PlanItem,
-        turn: Option<(u32, usize)>,
         cancel: &CancelToken,
     ) -> Result<ItemOutcome, GenError> {
         if let Work::Skip(reason) = &item.work {
             return Ok(ItemOutcome::Skipped(reason.clone()));
         }
-        // Session-eligible targets take their class's turn in plan order:
-        // the incremental session carries learned state between targets, so
-        // pinning the access order is what keeps every `--jobs` value
-        // byte-identical. Targets of different classes still run in
-        // parallel; ungated targets are unaffected.
-        let _turn_guard = match turn {
-            Some((class, seq)) => {
-                // The gate wait gets its own child span so the timeline
-                // separates queueing (waiting for the class's turn) from
-                // actual solving.
-                let granted = {
-                    let _gate_span =
-                        xdata_obs::span_with("generate/solve/gate", || item.label.clone());
-                    self.gate.wait_for(class, seq, cancel)
-                };
-                if !granted {
-                    // The suite token tripped while queued.
-                    return Ok(ItemOutcome::Skipped(SkipReason::Timeout));
-                }
-                xdata_obs::instant("solver.session.turn", || {
-                    format!("{} (class {class}, turn {seq})", item.label)
-                });
-                xdata_obs::flow(
-                    "session",
-                    SESSION_FLOW_BASE + u64::from(class),
-                    xdata_obs::FlowPhase::Step,
-                );
-                Some(TurnGuard { gate: &self.gate, class })
-            }
-            None => None,
-        };
         // The target token trips when the suite token does *or* when the
         // per-target budget runs out; cancelling it never touches siblings.
         let token = cancel.child_for_deadline_ms(self.opts.per_target_deadline_ms);
@@ -1215,8 +1061,8 @@ impl<'a> Gen<'a> {
     }
 
     /// The shared incremental session for a `(copies, repair_cap)` skeleton
-    /// shape: built from the cached skeleton once, then reused — under the
-    /// turn gate — by every eligible target of that shape.
+    /// shape: built from the cached skeleton once, then reused by every
+    /// eligible target of that shape.
     ///
     /// Warm runs resolve sessions from the [`WarmCache`] store instead of
     /// the run-local map, so a later request with the same context salt
@@ -1277,19 +1123,17 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Solve with the cross-target memo: the first thread to see a
-    /// structural key computes; duplicates (concurrent or later) reuse the
-    /// stored verdict, model values and stats.
+    /// Solve with the cross-target memo: the first solve of a structural
+    /// key computes; later ones reuse the stored verdict, model values and
+    /// stats. The lock is held only for the lookup and the store, never
+    /// across the solve.
     ///
-    /// Two degradation rules keep the memo honest under cancellation and
-    /// chaos:
-    /// * a [`SolveOutcome::Cancelled`] result is **never stored** — it is a
-    ///   withdrawn time budget, not a verdict, and caching it would poison
-    ///   structurally identical targets that still have time;
-    /// * the `Pending` claim is dropped (and waiters woken) on *any* exit
-    ///   from the computing thread, including a panic unwinding through —
-    ///   so a chaos-killed solve can never deadlock the threads parked on
-    ///   its key.
+    /// A [`SolveOutcome::Cancelled`] result is **never stored**: it is a
+    /// withdrawn time budget, not a verdict, and caching it would poison
+    /// structurally identical targets that still have time. Two concurrent
+    /// session-less warm requests may both miss on one key; the solve is
+    /// pure, so both store the same value. Session runs never race here:
+    /// `WarmCache::lock_run` serializes them per salt.
     fn solve_memoized(
         &self,
         problem: &Problem,
@@ -1298,32 +1142,11 @@ impl<'a> Gen<'a> {
         session: Option<&SolveSession>,
     ) -> (SolveOutcome, SolverStats) {
         let key = memo_key(problem, self.opts, limit, self.warm.map_or(0, |(_, salt)| salt));
-        {
-            let mut map = lock_ignore_poison(&self.memo.map);
-            loop {
-                match map.get(&key) {
-                    None => {
-                        map.insert(key, MemoEntry::Pending);
-                        xdata_obs::counter("core.solve_memo.miss", 1);
-                        break;
-                    }
-                    Some(MemoEntry::Pending) => {
-                        map = self
-                            .memo
-                            .done
-                            .wait(map)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    Some(MemoEntry::Done(v)) => {
-                        xdata_obs::counter("core.solve_memo.hit", 1);
-                        return (v.outcome.replay(problem), v.stats);
-                    }
-                }
-            }
+        if let Some(v) = lock_ignore_poison(self.memo).get(&key) {
+            xdata_obs::counter("core.solve_memo.hit", 1);
+            return (v.outcome.replay(problem), v.stats);
         }
-        // From here until the entry is resolved, this thread owns the
-        // Pending claim; the guard releases it on every exit path.
-        let guard = PendingGuard { memo: self.memo, key };
+        xdata_obs::counter("core.solve_memo.miss", 1);
         let (out, stats) = match session {
             // The incremental road: only this target's delta constraints
             // are lowered; the engine arrives warm with everything learned
@@ -1331,18 +1154,10 @@ impl<'a> Gen<'a> {
             Some(s) => s.solve_delta(problem, limit, cancel),
             None => problem.solve_cancel(self.opts.mode, limit, self.opts.core, cancel),
         };
-        if matches!(out, SolveOutcome::Cancelled) {
-            // Not a verdict: drop the claim (guard wakes the waiters; the
-            // next arriver recomputes under its own time budget).
-            drop(guard);
-            return (out, stats);
+        if !matches!(out, SolveOutcome::Cancelled) {
+            let value = MemoValue { outcome: MemoOutcome::capture(&out), stats };
+            lock_ignore_poison(self.memo).insert(key, value);
         }
-        let value = MemoValue { outcome: MemoOutcome::capture(&out), stats };
-        let mut map = lock_ignore_poison(&self.memo.map);
-        map.insert(key, MemoEntry::Done(value));
-        std::mem::forget(guard); // entry resolved; nothing to clean up
-        self.memo.done.notify_all();
-        drop(map);
         (out, stats)
     }
 

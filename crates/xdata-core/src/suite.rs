@@ -18,10 +18,10 @@ pub struct GenOptions {
     /// Generate the three `=`, `<`, `>` datasets for attribute-vs-attribute
     /// comparisons too (a generalization of the paper's `A.x op val` case).
     pub compare_attr_pairs: bool,
-    /// Worker threads for the solve phase: `1` (the default) is fully
-    /// sequential, `0` means one per available core. Every value produces
-    /// the identical suite — solve targets are independent and collected
-    /// in plan order.
+    /// Worker threads for the kill check and batch grading: `1` (the
+    /// default) is fully sequential, `0` means one per available core.
+    /// Generation itself always solves its targets in plan order on the
+    /// calling thread. Every value produces identical output.
     pub jobs: usize,
     /// Decision budget per solve call. A target whose solve exhausts the
     /// budget is reported as skipped with [`SkipReason::Budget`] — never

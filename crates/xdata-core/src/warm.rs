@@ -35,18 +35,21 @@
 //!
 //! Tenants never share anything: a namespace mismatch changes every key.
 //!
-//! ## Concurrency: the per-salt run gate
+//! ## Concurrency
 //!
-//! Two *concurrent* requests with the same salt would race their turn
-//! gates on the shared sessions, interleaving target order and breaking
-//! the byte-identical-to-cold contract. `WarmCache::lock_run` serializes
-//! whole generation runs per salt (requests with different salts — other
-//! tenants, other queries — run fully in parallel); the blocking solve
-//! memo already serializes duplicate solves at the key level for
-//! session-less runs. The warm determinism contract is therefore exactly
-//! the batch one: for runs whose deadlines never fire, a warm request's
-//! output is byte-identical to a cold in-process run with the same
-//! arguments, whatever ran before it.
+//! One generation run solves its targets in plan order on its own thread;
+//! `--jobs` parallelizes the kill check and grading, not generation.
+//! Concurrency comes from concurrent requests. Two of them with the same
+//! salt would interleave their targets on the shared sessions and break
+//! the byte-identical-to-cold contract, so `WarmCache::lock_run`
+//! serializes whole generation runs per salt (requests with different
+//! salts — other tenants, other queries — run fully in parallel). The memo
+//! itself is a plain map behind a mutex: session-less solves are pure, so
+//! two requests that compute the same key concurrently store the same
+//! value. The warm determinism contract is therefore exactly the batch
+//! one: for runs whose deadlines never fire, a warm request's output is
+//! byte-identical to a cold in-process run with the same arguments,
+//! whatever ran before it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -65,24 +68,10 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Cross-target memo over complete solve calls.
-///
-/// Keyed by a 128-bit structural hash of the problem; the first thread to
-/// claim a key marks it [`MemoEntry::Pending`] and computes, concurrent
-/// arrivals with the same key block on the condvar until the value lands.
-/// This blocking dedup is what keeps `core.solve_memo.hit`/`.miss` — and
-/// the reused [`SolverStats`] — schedule-independent: each distinct key
-/// misses exactly once however many threads race on it.
-#[derive(Default)]
-pub(crate) struct SolveMemo {
-    pub(crate) map: Mutex<HashMap<(u64, u64), MemoEntry>>,
-    pub(crate) done: Condvar,
-}
-
-pub(crate) enum MemoEntry {
-    Pending,
-    Done(MemoValue),
-}
+/// Cross-target memo over complete solve calls, keyed by a 128-bit
+/// structural hash of the problem. Lookups and stores take the lock; the
+/// solve in between runs outside it.
+pub(crate) type SolveMemo = Mutex<HashMap<(u64, u64), MemoValue>>;
 
 #[derive(Clone)]
 pub(crate) struct MemoValue {
@@ -119,24 +108,6 @@ impl MemoOutcome {
             MemoOutcome::Unsat => SolveOutcome::Unsat,
             MemoOutcome::Unknown => SolveOutcome::Unknown,
         }
-    }
-}
-
-/// Drop guard owning a [`MemoEntry::Pending`] claim: unless defused with
-/// [`std::mem::forget`], dropping it removes the claim and wakes every
-/// thread waiting on the key. This is the memo's unwind safety — a panic
-/// (or a `Cancelled` early return) in the computing thread releases the
-/// key instead of leaving waiters parked forever on the condvar.
-pub(crate) struct PendingGuard<'m> {
-    pub(crate) memo: &'m SolveMemo,
-    pub(crate) key: (u64, u64),
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        let mut map = lock_ignore_poison(&self.memo.map);
-        map.remove(&self.key);
-        self.memo.done.notify_all();
     }
 }
 
@@ -198,8 +169,7 @@ pub(crate) fn context_salt(namespace: &str, query: &NormQuery, opts: &GenOptions
 }
 
 /// Process-long warm state shared across requests and tenants — see the
-/// module docs. `Sync` by construction: every map sits behind the same
-/// Mutex+Condvar shapes the single-run pipeline already uses.
+/// module docs. `Sync` by construction: every map sits behind a mutex.
 #[derive(Default)]
 pub struct WarmCache {
     pub(crate) memo: SolveMemo,
@@ -218,13 +188,9 @@ impl WarmCache {
         WarmCache::default()
     }
 
-    /// Resolved solve outcomes currently held (the `serve.warm.memo_entries`
-    /// gauge). Pending claims of in-flight solves are not counted.
+    /// Solve outcomes currently held (the `serve.warm.memo_entries` gauge).
     pub fn memo_entries(&self) -> usize {
-        lock_ignore_poison(&self.memo.map)
-            .values()
-            .filter(|e| matches!(e, MemoEntry::Done(_)))
-            .count()
+        lock_ignore_poison(&self.memo).len()
     }
 
     /// Warm incremental sessions currently held (the `serve.warm.sessions`
@@ -235,9 +201,9 @@ impl WarmCache {
 
     /// Drop every memoized outcome and warm session (e.g. an operator
     /// bouncing a tenant's corpus). In-flight runs are unaffected beyond
-    /// losing future hits: pending memo claims stay untouched.
+    /// losing future hits.
     pub fn clear(&self) {
-        lock_ignore_poison(&self.memo.map).retain(|_, e| matches!(e, MemoEntry::Pending));
+        lock_ignore_poison(&self.memo).clear();
         lock_ignore_poison(&self.sessions).clear();
     }
 
@@ -305,19 +271,13 @@ mod tests {
     #[test]
     fn clear_empties_resolved_state() {
         let cache = WarmCache::new();
-        lock_ignore_poison(&cache.memo.map).insert(
+        lock_ignore_poison(&cache.memo).insert(
             (1, 2),
-            MemoEntry::Done(MemoValue {
-                outcome: MemoOutcome::Unsat,
-                stats: SolverStats::default(),
-            }),
+            MemoValue { outcome: MemoOutcome::Unsat, stats: SolverStats::default() },
         );
-        lock_ignore_poison(&cache.memo.map).insert((3, 4), MemoEntry::Pending);
-        assert_eq!(cache.memo_entries(), 1, "pending claims are not entries");
+        assert_eq!(cache.memo_entries(), 1);
         cache.clear();
         assert_eq!(cache.memo_entries(), 0);
-        // The pending claim survives (its owner will resolve or drop it).
-        assert_eq!(lock_ignore_poison(&cache.memo.map).len(), 1);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! compile from a source tarball with no `.git` and under a toolchain
 //! that hides `rustc` from the environment.
 
+use std::path::Path;
 use std::process::Command;
 
 fn capture(cmd: &str, args: &[&str]) -> Option<String> {
@@ -38,7 +39,27 @@ fn main() {
         capture(&rustc, &["--version"]).unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=XDATA_RUSTC_VERSION={version}");
 
-    // Re-capture when the checked-out commit moves; a stale sha on pure
-    // source edits is acceptable (the -dirty marker covers those).
+    // Re-capture when the checked-out commit moves: HEAD changes on a
+    // checkout, the branch ref it names on a commit, and packed-refs when
+    // git packs that ref. A stale sha on pure source edits is acceptable
+    // (the -dirty marker covers those).
     println!("cargo:rerun-if-changed=../../.git/HEAD");
+    if let Some(git_dir) = capture("git", &["rev-parse", "--absolute-git-dir"]) {
+        let git_dir = Path::new(&git_dir);
+        let mut watch = vec![git_dir.join("packed-refs")];
+        if let Some(branch) = capture("git", &["symbolic-ref", "-q", "HEAD"]) {
+            // A packed ref has no loose file until the next commit writes
+            // one into its directory.
+            let loose = git_dir.join(branch);
+            match loose.parent() {
+                Some(dir) if !loose.exists() => watch.push(dir.to_path_buf()),
+                _ => watch.push(loose),
+            }
+        }
+        // Cargo reruns a build script on every build while a watched path
+        // is missing, so watch only what exists.
+        for path in watch.iter().filter(|p| p.exists()) {
+            println!("cargo:rerun-if-changed={}", path.display());
+        }
+    }
 }

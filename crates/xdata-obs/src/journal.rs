@@ -4,8 +4,8 @@
 //! journal answers "what happened, when, on which thread". Every
 //! instrumentation site that records a counter or opens a span also — when
 //! the journal is enabled — appends a timestamped event to a thread-local
-//! buffer: span begin/end pairs, instant (point) events, counter deltas,
-//! and flow markers connecting causally-related work across threads.
+//! buffer: span begin/end pairs, instant (point) events and counter
+//! deltas.
 //!
 //! ## Cost discipline
 //!
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::trace::{FlowPhase, TraceEvent, TraceEventKind, TraceLog};
+use crate::trace::{TraceEvent, TraceEventKind, TraceLog};
 
 /// Process-lifetime monotonic epoch; all journal timestamps are nanoseconds
 /// since this instant. Normalization to the run's own start happens at
@@ -71,7 +71,6 @@ pub(crate) enum JEvent {
     End { path: &'static str, ts: u64 },
     Instant { name: &'static str, label: String, ts: u64 },
     Counter { name: &'static str, delta: u64, ts: u64 },
-    Flow { name: &'static str, id: u64, phase: FlowPhase, ts: u64 },
 }
 
 struct ThreadJournal {
@@ -164,15 +163,6 @@ pub(crate) fn counter(name: &'static str, delta: u64) {
     });
 }
 
-pub(crate) fn flow(name: &'static str, id: u64, phase: FlowPhase) {
-    with_tls(|j| {
-        j.events.push(JEvent::Flow { name, id, phase, ts: now_ns() });
-        if j.depth == 0 {
-            flush(j);
-        }
-    });
-}
-
 /// Drain everything flushed since [`reset`] into a stable-ordered
 /// [`TraceLog`]: events sorted by (thread ordinal, record order), then
 /// timestamps normalized so the earliest event is `t = 0`.
@@ -202,9 +192,6 @@ pub(crate) fn take() -> TraceLog {
                 }
                 JEvent::Counter { name, delta, ts } => {
                     (ts, TraceEventKind::Counter { name: name.to_string(), delta })
-                }
-                JEvent::Flow { name, id, phase, ts } => {
-                    (ts, TraceEventKind::Flow { name: name.to_string(), id, phase })
                 }
             };
             events.push(TraceEvent { tid, ts_ns, kind });

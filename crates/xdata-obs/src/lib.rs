@@ -8,15 +8,15 @@
 //!   histograms**, collected into a [`MetricsReport`] that serializes to
 //!   stable, sorted JSON.
 //! * **Event timeline** — a per-thread **journal** of span begin/end
-//!   pairs, instant events, counter deltas and cross-thread flow markers,
-//!   drained into a [`TraceLog`] that exports to Chrome trace-event JSON
-//!   (Perfetto / `chrome://tracing`) and folded stacks (flamegraphs), and
-//!   feeds the offline `xdata trace` analyses.
+//!   pairs, instant events and counter deltas, drained into a
+//!   [`TraceLog`] that exports to Chrome trace-event JSON (Perfetto /
+//!   `chrome://tracing`) and folded stacks (flamegraphs), and feeds the
+//!   offline `xdata trace` analyses.
 //!
 //! ## Global no-op recorder
 //!
 //! Instrumentation sites call [`counter`], [`observe`], [`span`],
-//! [`instant`] and [`flow`] unconditionally. All sinks share one atomic
+//! and [`instant`] unconditionally. All sinks share one atomic
 //! state word with a bit per sink (metrics collection, stderr span lines,
 //! journal); when every sink is off (the default) each call is a single
 //! relaxed atomic load and an early return — the uninstrumented hot path
@@ -52,9 +52,9 @@
 //! ## Span hierarchy and per-thread buffers
 //!
 //! Span paths are explicit `/`-separated static strings
-//! (`"generate/solve"` is a child of `"generate"`), so parent links survive
+//! (`"kill/mutant"` is a child of `"kill"`), so parent links survive
 //! crossing the `xdata-par` thread pool — a worker thread opening
-//! `generate/solve` needs no thread-local context from the coordinating
+//! `kill/mutant` needs no thread-local context from the coordinating
 //! thread. Finished spans accumulate in a per-thread buffer and merge into
 //! the global aggregate when the thread's outermost span closes, keeping
 //! lock traffic at one acquisition per top-level span rather than one per
@@ -79,11 +79,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
 
 pub use metrics::{Histogram, MetricsReport, SpanAgg};
-pub use names::{preseed, ALL_COUNTERS, ALL_HISTOGRAMS, ALL_INSTANTS, FLOW_NAMES, PHASE_SPANS};
+pub use names::{preseed, ALL_COUNTERS, ALL_HISTOGRAMS, ALL_INSTANTS, PHASE_SPANS};
 pub use span::{span, span_with, SpanGuard};
 pub use trace::{
     build_meta, build_meta_json, parse_chrome_trace, parse_json, validate_chrome_trace,
-    CriticalSegment, FlowPhase, Json, SpanInstance, TraceAnalysis, TraceEvent, TraceEventKind,
+    CriticalSegment, Json, SpanInstance, TraceAnalysis, TraceEvent, TraceEventKind,
     TraceLog, TraceSummary,
 };
 
@@ -211,19 +211,6 @@ pub fn instant(name: &'static str, label: impl FnOnce() -> String) {
     journal::instant(name, label());
 }
 
-/// Journal a flow marker connecting causally-related work across threads
-/// (a plan target moving from the planning thread to its solving worker, a
-/// session's turn order across gated targets). `id` disambiguates
-/// concurrent flows with the same `name`; the Chrome exporter renders them
-/// as arrows.
-#[inline]
-pub fn flow(name: &'static str, id: u64, phase: FlowPhase) {
-    if state() & JOURNAL == 0 {
-        return;
-    }
-    journal::flow(name, id, phase);
-}
-
 /// Record `value` into the log2-bucket histogram `name`.
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
@@ -307,7 +294,6 @@ mod tests {
         {
             let _s = span_with("generate/solve", || panic!("label built with sinks disabled"));
         }
-        flow("target", 7, FlowPhase::Start);
 
         const N: u32 = 1_000_000;
         let t0 = std::time::Instant::now();
@@ -463,42 +449,33 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips_spans_instants_counters_flows() {
+    fn journal_round_trips_spans_instants_counters() {
         let _l = lock();
         all_off();
         install_trace();
         {
             let _outer = span_with("generate", String::new);
-            flow("target", 3, FlowPhase::Start);
             {
                 let _inner = span_with("generate/solve", || "dataset A".to_string());
                 instant("core.skeleton_cache.hit", || "shape 2x1".to_string());
                 counter("solver.decisions", 17);
                 counter("solver.decisions", 0); // zero delta: schema only, not an event
             }
-            flow("target", 3, FlowPhase::Finish);
         }
         let log = take_trace().expect("journal installed");
         assert!(take_trace().is_none(), "journal is taken exactly once");
 
         let kinds: Vec<&TraceEventKind> = log.events.iter().map(|e| &e.kind).collect();
-        assert_eq!(log.events.len(), 8, "B f B i C E f E... got {kinds:?}");
+        assert_eq!(log.events.len(), 6, "B B i C E E... got {kinds:?}");
         assert!(matches!(kinds[0], TraceEventKind::Begin { path, .. } if path == "generate"));
         assert!(
-            matches!(kinds[2], TraceEventKind::Begin { path, label }
+            matches!(kinds[1], TraceEventKind::Begin { path, label }
                 if path == "generate/solve" && label == "dataset A")
         );
         assert!(log.events.iter().any(|e| matches!(
             &e.kind,
             TraceEventKind::Counter { name, delta: 17 } if name == "solver.decisions"
         )));
-        assert_eq!(
-            log.events
-                .iter()
-                .filter(|e| matches!(&e.kind, TraceEventKind::Flow { .. }))
-                .count(),
-            2
-        );
         // Per-thread timestamps are monotonic and normalized to 0.
         assert_eq!(log.events.iter().map(|e| e.ts_ns).min(), Some(0));
         assert!(log.events.windows(2).all(|w| w[0].tid != w[1].tid || w[0].ts_ns <= w[1].ts_ns));
@@ -511,7 +488,6 @@ mod tests {
         let json = log.to_chrome_json();
         let summary = validate_chrome_trace(&json).expect("export validates");
         assert_eq!(summary.spans, 2);
-        assert_eq!(summary.flows, 2);
         assert!(summary.has_metadata);
         let back = parse_chrome_trace(&json).expect("export parses");
         assert_eq!(back.to_structure(), log.to_structure());
@@ -610,11 +586,21 @@ mod tests {
             {"name": "x", "ph": "E", "ts": 4, "pid": 0, "tid": 0}
         ]}"#;
         assert!(validate_chrome_trace(regress).unwrap_err().contains("regressed"));
-        // A flow finish with no start.
-        let flow = r#"{"traceEvents": [
-            {"name": "target", "ph": "f", "id": 9, "ts": 1, "pid": 0, "tid": 0, "bp": "e"}
+        // An unknown phase fails loudly.
+        let unknown = r#"{"traceEvents": [
+            {"name": "x", "ph": "Q", "ts": 1, "pid": 0, "tid": 0}
         ]}"#;
-        assert!(validate_chrome_trace(flow).unwrap_err().contains("before any start"));
+        assert!(validate_chrome_trace(unknown).unwrap_err().contains("unsupported phase"));
+        // Flow records from traces written by earlier builds are skipped,
+        // so those files still validate and analyze.
+        let flows = r#"{"traceEvents": [
+            {"name": "target", "ph": "s", "id": 9, "ts": 1, "pid": 0, "tid": 0},
+            {"name": "x", "ph": "B", "ts": 2, "pid": 0, "tid": 1},
+            {"name": "target", "ph": "f", "id": 9, "ts": 3, "pid": 0, "tid": 1, "bp": "e"},
+            {"name": "x", "ph": "E", "ts": 4, "pid": 0, "tid": 1}
+        ]}"#;
+        let summary = validate_chrome_trace(flows).expect("flow records are skipped");
+        assert_eq!((summary.events, summary.spans), (2, 1));
     }
 
     #[test]

@@ -98,17 +98,14 @@ pub const ALL_HISTOGRAMS: &[&str] = &[
     "solver.ground_atoms",
 ];
 
-/// Every canonical span path (the pipeline phases).
-/// `generate/solve/gate` wraps a session-eligible target's wait on the
-/// turn gate, separating queueing from solving in the timeline. The
-/// `grade/*` spans cover the batch-grading fast path: `grade/reference`
-/// executes the instructor query per dataset, `grade/grid` fans the
-/// deduplicated candidate×dataset matrix over the worker pool.
+/// Every canonical span path (the pipeline phases). The `grade/*` spans
+/// cover the batch-grading fast path: `grade/reference` executes the
+/// instructor query per dataset, `grade/grid` fans the deduplicated
+/// candidate×dataset matrix over the worker pool.
 pub const PHASE_SPANS: &[&str] = &[
     "generate",
     "generate/plan",
     "generate/solve",
-    "generate/solve/gate",
     "grade",
     "grade/grid",
     "grade/reference",
@@ -130,8 +127,6 @@ pub const PHASE_SPANS: &[&str] = &[
 ///   the queue-wait since the batch was submitted. Scheduling-domain, so
 ///   excluded from the deterministic trace structure.
 /// * `solver.restart` — a CDCL core restarted (conflict-driven, Luby).
-/// * `solver.session.turn` — a session handover: a gated target's turn
-///   arrived on its shared incremental engine.
 /// * `solver.solve` — one ground solve finished; the label carries the
 ///   verdict and decision/conflict totals (per-decision events would bloat
 ///   traces by orders of magnitude; the batch is the compromise).
@@ -140,17 +135,8 @@ pub const ALL_INSTANTS: &[&str] = &[
     "kill.verdict",
     "par.claim",
     "solver.restart",
-    "solver.session.turn",
     "solver.solve",
 ];
-
-/// Every canonical flow name, sorted. `target` arrows connect a plan
-/// item's planning-time start to the worker that solved it (flow id =
-/// plan index); `session` arrows chain the turn order of gated targets
-/// sharing one incremental solver session (flow id = copies-class id,
-/// offset into its own namespace by the instrumentation so the two flow
-/// families cannot collide).
-pub const FLOW_NAMES: &[&str] = &["session", "target"];
 
 /// Zero-initialize every canonical key. Call right after [`crate::install`]
 /// when a stable report schema matters (the CLI does); without it the

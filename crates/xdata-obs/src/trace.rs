@@ -6,7 +6,7 @@
 //!
 //! * [`TraceLog::to_chrome_json`] — Chrome trace-event JSON, loadable in
 //!   Perfetto or `chrome://tracing`. Threads become tracks, spans become
-//!   `B`/`E` pairs, targets and sessions become flow arrows.
+//!   `B`/`E` pairs.
 //! * [`TraceLog::to_folded`] — folded-stacks text (`stack;path weight`)
 //!   consumable by any flamegraph renderer. Weights are self-time in
 //!   nanoseconds.
@@ -16,53 +16,16 @@
 //!   `MetricsReport::to_json_stripped`.
 //! * [`parse_chrome_trace`] / [`validate_chrome_trace`] — a dependency-free
 //!   JSON parser and a structural checker (balanced begin/end, monotonic
-//!   per-thread timestamps, flow starts preceding steps/finishes) used by
-//!   tests, CI and `xdata trace --validate`.
+//!   per-thread timestamps) used by tests, CI and `xdata trace --validate`.
 //! * [`TraceLog::analyze`] — offline analysis backing the `xdata trace`
 //!   subcommand: critical-path extraction, per-target and per-mutant-class
-//!   breakdowns, turn-gate wait attribution, top-K slowest solves.
+//!   breakdowns, top-K slowest solves.
 //!
 //! Everything here is hand-rolled: the workspace has zero external
 //! dependencies by design, so the exporters emit JSON via string building
 //! and the importer is a small recursive-descent parser.
 
 use std::collections::BTreeMap;
-
-/// Phase of a flow event: `Start` opens an arrow, `Step` continues it on
-/// another thread, `Finish` terminates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowPhase {
-    Start,
-    Step,
-    Finish,
-}
-
-impl FlowPhase {
-    /// Chrome trace-event phase letter (`s`/`t`/`f`).
-    pub fn ph(self) -> char {
-        match self {
-            FlowPhase::Start => 's',
-            FlowPhase::Step => 't',
-            FlowPhase::Finish => 'f',
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            FlowPhase::Start => "start",
-            FlowPhase::Step => "step",
-            FlowPhase::Finish => "finish",
-        }
-    }
-
-    fn rank(self) -> u8 {
-        match self {
-            FlowPhase::Start => 0,
-            FlowPhase::Step => 1,
-            FlowPhase::Finish => 2,
-        }
-    }
-}
 
 /// What a single trace event records.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +41,6 @@ pub enum TraceEventKind {
     /// A counter increment, journaled with the delta (totals are
     /// reconstructed by the exporter).
     Counter { name: String, delta: u64 },
-    /// A flow marker connecting causally-related events across threads.
-    Flow { name: String, id: u64, phase: FlowPhase },
 }
 
 /// One journaled event: which thread, when (nanoseconds since the run's
@@ -211,21 +172,6 @@ impl TraceLog {
                         escape_json(name),
                     ));
                 }
-                TraceEventKind::Flow { name, id, phase } => {
-                    // Steps and finishes bind to the enclosing slice's end
-                    // ("bp": "e"), the binding Perfetto renders most
-                    // usefully for handover arrows.
-                    let bp = match phase {
-                        FlowPhase::Start => "",
-                        _ => ", \"bp\": \"e\"",
-                    };
-                    out.push_str(&format!(
-                        "{{\"name\": \"{}\", \"cat\": \"flow\", \"ph\": \"{}\", \"id\": {id}, \
-                         {common}{bp}}}",
-                        escape_json(name),
-                        phase.ph(),
-                    ));
-                }
             }
         }
         out.push_str("\n  ]\n}\n");
@@ -318,14 +264,12 @@ impl TraceLog {
     ///   worker claimed which slot), which is exactly what `--jobs`
     ///   changes; they are counted under their name only.
     /// * instants and counters keep their owning span *path* but not its
-    ///   label: with memoized solves the computing target is
-    ///   first-arriver-wins, so owner labels are racy even though the
-    ///   event multiset is not.
+    ///   label, so the view holds one line per name and owner path rather
+    ///   than one per target or mutant.
     pub fn to_structure(&self) -> String {
         let mut spans: BTreeMap<(String, String), u64> = BTreeMap::new();
         let mut instants: BTreeMap<(String, String), u64> = BTreeMap::new();
         let mut counters: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
-        let mut flows: BTreeMap<(String, &'static str), u64> = BTreeMap::new();
         let mut stacks: BTreeMap<u32, Vec<String>> = BTreeMap::new();
         for e in &self.events {
             let owner = |stacks: &BTreeMap<u32, Vec<String>>| -> String {
@@ -353,9 +297,6 @@ impl TraceLog {
                     entry.0 += 1;
                     entry.1 += delta;
                 }
-                TraceEventKind::Flow { name, phase, .. } => {
-                    *flows.entry((name.clone(), phase.as_str())).or_insert(0) += 1;
-                }
             }
         }
         let mut out = String::from("trace-structure v1\n");
@@ -368,15 +309,11 @@ impl TraceLog {
         for ((name, owner), (n, sum)) in counters {
             out.push_str(&format!("counter {name} @{owner} x{n} sum={sum}\n"));
         }
-        for ((name, phase), n) in flows {
-            out.push_str(&format!("flow {name} {phase} x{n}\n"));
-        }
         out
     }
 
     /// Offline analysis backing `xdata trace`: critical path, per-target
-    /// and per-mutant-class time, turn-gate waits and the top-`k` slowest
-    /// solves.
+    /// and per-mutant-class time and the top-`k` slowest solves.
     pub fn analyze(&self, k: usize) -> TraceAnalysis {
         let spans = self.span_instances();
         let root_start = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
@@ -443,7 +380,6 @@ impl TraceLog {
             let r = s.label.rfind(']')?;
             (l < r).then(|| s.label[l + 1..r].to_string())
         });
-        let gate_wait = group("generate/solve/gate", &|s| Some(s.label.clone()));
 
         let mut slowest: Vec<SpanInstance> =
             spans.iter().filter(|s| s.path == "generate/solve").cloned().collect();
@@ -457,7 +393,6 @@ impl TraceLog {
             critical_path: segments,
             per_target,
             per_class,
-            gate_wait,
             slowest,
         }
     }
@@ -489,7 +424,6 @@ pub struct TraceAnalysis {
     pub critical_path: Vec<CriticalSegment>,
     pub per_target: Vec<(String, u64, u64)>,
     pub per_class: Vec<(String, u64, u64)>,
-    pub gate_wait: Vec<(String, u64, u64)>,
     pub slowest: Vec<SpanInstance>,
 }
 
@@ -793,8 +727,9 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 
 /// Parse a Chrome trace-event JSON file back into a [`TraceLog`], for the
 /// `xdata trace` subcommand. Only the event kinds our exporter writes are
-/// reconstructed; unknown phases are rejected so a mangled file fails
-/// loudly rather than analyzing as silence.
+/// reconstructed. Flow records (`s`/`t`/`f`), which traces written by
+/// earlier builds carry, are skipped; other unknown phases are rejected so
+/// a mangled file fails loudly rather than analyzing as silence.
 pub fn parse_chrome_trace(text: &str) -> Result<TraceLog, String> {
     let root = parse_json(text)?;
     let mut meta = BTreeMap::new();
@@ -842,16 +777,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<TraceLog, String> {
                     .and_then(Json::as_u64)
                     .unwrap_or(0),
             },
-            "s" | "t" | "f" => {
-                let phase = match ph {
-                    "s" => FlowPhase::Start,
-                    "t" => FlowPhase::Step,
-                    _ => FlowPhase::Finish,
-                };
-                let id =
-                    item.get("id").and_then(Json::as_u64).ok_or_else(|| ctx("flow missing id"))?;
-                TraceEventKind::Flow { name, id, phase }
-            }
+            "s" | "t" | "f" => continue,
             other => return Err(ctx(&format!("unsupported phase '{other}'"))),
         };
         events.push(TraceEvent { tid, ts_ns, kind });
@@ -865,15 +791,13 @@ pub struct TraceSummary {
     pub events: usize,
     pub threads: usize,
     pub spans: usize,
-    pub flows: usize,
     pub has_metadata: bool,
 }
 
 /// Structural checker for a Chrome trace-event JSON file: parses it,
 /// then verifies (1) per-thread timestamps are monotonically
-/// non-decreasing in array order, (2) every `E` closes a matching `B`
-/// (same span path, same thread) and no span is left open, and (3) every
-/// flow step/finish is preceded — in time — by a start with the same id.
+/// non-decreasing in array order and (2) every `E` closes a matching `B`
+/// (same span path, same thread) and no span is left open.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let root = parse_json(text)?;
     let has_metadata = matches!(root.get("metadata"), Some(Json::Obj(_)));
@@ -882,7 +806,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let mut last_ts: BTreeMap<u32, u64> = BTreeMap::new();
     let mut stacks: BTreeMap<u32, Vec<String>> = BTreeMap::new();
     let mut span_count = 0usize;
-    let mut flow_events: Vec<(u64, u8, u64)> = Vec::new(); // (ts, phase rank, id)
     for (i, e) in log.events.iter().enumerate() {
         let prev = last_ts.entry(e.tid).or_insert(0);
         if e.ts_ns < *prev {
@@ -909,9 +832,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
                     return Err(format!("event {i}: E for '{path}' with no open span on tid {}", e.tid));
                 }
             },
-            TraceEventKind::Flow { id, phase, .. } => {
-                flow_events.push((e.ts_ns, phase.rank(), *id));
-            }
             _ => {}
         }
     }
@@ -920,23 +840,11 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             return Err(format!("span '{open}' left open on tid {tid}"));
         }
     }
-    // Flow starts must precede their steps/finishes in time (cross-thread,
-    // so checked on the time axis, not array order).
-    flow_events.sort();
-    let mut started: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-    for (ts, rank, id) in &flow_events {
-        if *rank == 0 {
-            started.insert(*id);
-        } else if !started.contains(id) {
-            return Err(format!("flow id {id} has a step/finish at {ts}ns before any start"));
-        }
-    }
 
     Ok(TraceSummary {
         events: log.events.len(),
         threads: last_ts.len(),
         spans: span_count,
-        flows: flow_events.len(),
         has_metadata,
     })
 }

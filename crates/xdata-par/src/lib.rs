@@ -4,12 +4,12 @@
 //! (no rayon, no crossbeam): a small work-stealing pool exposing an
 //! order-preserving [`par_map`].
 //!
-//! Both X-Data hot paths are embarrassingly parallel with *wildly* uneven
-//! task costs — one constraint target can take 100× another (deep
-//! repair-ladder retries), one mutant can die on the first dataset while
-//! another survives all of them. Static chunking would serialize on the
-//! slowest chunk, so workers instead pull the next item from a shared atomic
-//! cursor (work stealing at item granularity). Each worker accumulates
+//! Both X-Data paths that use the pool — the kill check and the grading
+//! grid — are embarrassingly parallel with *wildly* uneven task costs: one
+//! mutant can die on the first dataset while another survives all of
+//! them. Static chunking would serialize on the slowest chunk, so workers
+//! instead pull the next item from a shared atomic cursor (work stealing
+//! at item granularity). Each worker accumulates
 //! `(index, result)` pairs locally; the results are scattered back into
 //! input order afterwards, which is what makes parallel output
 //! **byte-identical** to sequential output regardless of thread count.

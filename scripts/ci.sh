@@ -6,7 +6,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
+cargo test --workspace -q --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Doc gate: every crate must document cleanly — broken intra-doc links,
@@ -144,7 +144,7 @@ echo "ci: extended-class smoke (NULL witness + kill-complete + jobs determinism)
 # byte-identical everywhere.
 GQ='SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id'
 G1=$(mktemp) && G4=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$G1" "$G4"' EXIT
+trap 'rm -f "$M1" "$M4" "$E1" "$E4" "$EM" "$G1" "$G4"' EXIT
 ./target/release/xdata grade --schema examples/university.sql \
     --query "$GQ" --candidates examples/submissions.sql --jobs 1 > "$G1"
 ./target/release/xdata grade --schema examples/university.sql \
@@ -161,11 +161,11 @@ echo "ci: batch grading verdict stability OK"
 
 # Trace leg: capture an event timeline on the same Table I example, have
 # `xdata trace --validate` run the built-in structural checker (balanced
-# begin/end nesting, monotonic per-thread timestamps, flow ordering — no
-# external tooling), and require the critical path to tile the root span
+# begin/end nesting, monotonic per-thread timestamps — no external
+# tooling), and require the critical path to tile the root span
 # (the subcommand exits non-zero if the segment sum diverges).
 T=$(mktemp) && F=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$G1" "$G4" "$T" "$F"' EXIT
+trap 'rm -f "$M1" "$M4" "$E1" "$E4" "$EM" "$G1" "$G4" "$T" "$F"' EXIT
 ./target/release/xdata evaluate --schema examples/university.sql \
     --query "$Q" --jobs 4 --trace-out "$T" > /dev/null
 grep -q '"traceEvents"' "$T" || {
@@ -193,7 +193,7 @@ echo "ci: trace capture + validation + critical path OK"
 # added without updating the snapshot (and thus the README flag table
 # next to it) fails here.
 H=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$G1" "$G4" "$T" "$F" "$H"' EXIT
+trap 'rm -f "$M1" "$M4" "$E1" "$E4" "$EM" "$G1" "$G4" "$T" "$F" "$H"' EXIT
 ./target/release/xdata --help > "$H"
 if ! cmp -s "$H" scripts/cli_help.txt; then
     echo "ci: xdata --help drifted from scripts/cli_help.txt" >&2
@@ -232,7 +232,7 @@ cargo build -q --release --offline -p xdata-client
 SERVE_LOG=$(mktemp) && WIRE=$(mktemp) && LOCAL=$(mktemp)
 ./target/release/xdata serve --listen 127.0.0.1:0 > "$SERVE_LOG" &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null; rm -f "$M1" "$M4" "$G1" "$G4" "$T" "$F" "$H" "$SERVE_LOG" "$WIRE" "$LOCAL"' EXIT
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$M1" "$M4" "$E1" "$E4" "$EM" "$G1" "$G4" "$T" "$F" "$H" "$SERVE_LOG" "$WIRE" "$LOCAL"' EXIT
 ADDR=
 i=0
 while [ $i -lt 100 ]; do

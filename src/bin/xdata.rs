@@ -14,9 +14,9 @@
 //!                     statements forming the input database of §VI-A)
 //!   --query SQL       the query under test (or --query-file FILE)
 //!   --mode MODE       unfold (default) | lazy     (§VI-B)
-//!   --jobs N          worker threads for generation and kill checking
-//!                     (default 1; 0 = one per core; output is identical
-//!                     for every value)
+//!   --jobs N          worker threads for kill checking and grading, not
+//!                     generation (default 1; 0 = one per core; output is
+//!                     identical for every value)
 //!   --timeout-ms N    wall-clock budget for the whole run; on expiry the
 //!                     suite completes partially (unfinished targets are
 //!                     reported as timed-out skips, never dropped)
@@ -53,8 +53,7 @@
 //! trace options:
 //!   --top K           how many slowest solves to list (default 10)
 //!   --validate        structurally validate the file first (balanced
-//!                     begin/end, monotonic per-thread timestamps, flow
-//!                     starts before steps/finishes)
+//!                     begin/end, monotonic per-thread timestamps)
 //!   --folded FILE     also export folded stacks for flamegraph tooling
 //! ```
 
@@ -88,7 +87,7 @@ options:
   --query SQL            the query under test
   --query-file FILE      read --query text from FILE
   --mode MODE            unfold (default) | lazy
-  --jobs N               worker threads (default 1; 0 = one per core)
+  --jobs N               kill-check/grading threads (default 1; 0 = per core)
   --timeout-ms N         wall-clock budget for the whole run
   --target-timeout-ms N  wall-clock budget per solve target
   --decision-limit N     solver decision budget per target
@@ -369,11 +368,10 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     if args.validate {
         let s = xdata_obs::validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
         println!(
-            "validated: {} events on {} threads, {} spans, {} flow events, metadata {}",
+            "validated: {} events on {} threads, {} spans, metadata {}",
             s.events,
             s.threads,
             s.spans,
-            s.flows,
             if s.has_metadata { "present" } else { "absent" }
         );
     }
@@ -423,7 +421,6 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     };
     breakdown("per-target solve time", &a.per_target);
     breakdown("per-mutant-class evaluation time", &a.per_class);
-    breakdown("turn-gate waits", &a.gate_wait);
 
     println!("\ntop {} slowest solves:", args.top);
     if a.slowest.is_empty() {

@@ -204,8 +204,9 @@ impl XData {
         self
     }
 
-    /// Worker threads for generation and kill checking: `1` is sequential,
-    /// `0` means one per available core. Output is identical for every
+    /// Worker threads for kill checking and grading: `1` is sequential,
+    /// `0` means one per available core. Generation solves its targets in
+    /// plan order on the calling thread. Output is identical for every
     /// value.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.options.jobs = jobs;

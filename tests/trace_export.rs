@@ -4,11 +4,13 @@
 //! * The Chrome trace-event JSON written for a **chaos-injected partial
 //!   run** (injected panic, forced `Unknown`, synthetic expiry) still
 //!   parses, and its events nest — every `E` closes the matching `B`, no
-//!   span is left open, per-thread timestamps are monotonic, and every
-//!   flow arrow starts before it steps or finishes.
+//!   span is left open, and per-thread timestamps are monotonic.
 //! * The timing-stripped trace **structure** (event kinds, names, span
 //!   labels, nesting, counts) is byte-identical for `--jobs 1/2/8` — the
 //!   trace-level analogue of the metrics determinism gate.
+//! * Generation solves its targets in plan order on the calling thread:
+//!   every `generate/solve` span sits on its `generate` span's thread,
+//!   whatever `--jobs` says.
 //! * The critical path extracted from a captured trace tiles the root
 //!   span exactly: segment durations sum to the root span duration.
 //!
@@ -63,12 +65,10 @@ fn chaos_partial_run_exports_valid_chrome_trace_across_jobs() {
         let json = log.to_chrome_json();
 
         // Parses with the dependency-free parser and passes the structural
-        // checker: balanced B/E nesting, monotonic per-thread timestamps,
-        // flow starts preceding steps/finishes.
+        // checker: balanced B/E nesting, monotonic per-thread timestamps.
         let summary = obs::validate_chrome_trace(&json)
             .unwrap_or_else(|e| panic!("jobs={jobs}: invalid Chrome trace: {e}"));
         assert!(summary.spans > 0, "jobs={jobs}: no spans journaled");
-        assert!(summary.flows > 0, "jobs={jobs}: no flow events journaled");
         assert!(summary.has_metadata, "jobs={jobs}: build metadata missing");
 
         // The partial run's skips are attributed on the timeline: one
@@ -115,21 +115,33 @@ fn chaos_partial_run_exports_valid_chrome_trace_across_jobs() {
 }
 
 #[test]
-fn clean_run_trace_has_gate_spans_and_session_flows() {
+fn clean_run_trace_solves_every_target_on_the_generate_thread() {
     let _g = lock();
-    let log = traced_evaluate(2, FaultPlan::default());
+    let log = traced_evaluate(4, FaultPlan::default());
     let structure = log.to_structure();
-    assert!(structure.contains("span generate/solve/gate"), "gate spans missing:\n{structure}");
-    assert!(structure.contains("flow session start"), "session flow start missing:\n{structure}");
-    assert!(structure.contains("flow session step"), "session flow steps missing:\n{structure}");
-    assert!(structure.contains("flow target start"), "target flow starts missing:\n{structure}");
-    assert!(structure.contains("flow target finish"), "target flow finishes missing:\n{structure}");
     assert!(structure.contains("instant kill.verdict"), "verdict instants missing:\n{structure}");
-    assert!(
-        structure.contains("instant solver.session.turn"),
-        "turn instants missing:\n{structure}"
-    );
     assert!(structure.contains("instant solver.solve"), "solve instants missing:\n{structure}");
+
+    // `--jobs 4` fans the kill check over the pool, but every target
+    // solves inside its `generate` span on the same thread.
+    let spans = log.span_instances();
+    let generate: Vec<_> = spans.iter().filter(|s| s.path == "generate").collect();
+    assert_eq!(generate.len(), 1, "one generate span per evaluate");
+    let root = generate[0];
+    let solves: Vec<_> = spans.iter().filter(|s| s.path == "generate/solve").collect();
+    assert!(!solves.is_empty(), "no generate/solve spans journaled");
+    for s in solves {
+        assert_eq!(
+            s.tid, root.tid,
+            "target `{}` solved on thread {} while generate ran on thread {}",
+            s.label, s.tid, root.tid
+        );
+        assert!(
+            root.start_ns <= s.start_ns && s.end_ns <= root.end_ns,
+            "target `{}` solved outside its generate span",
+            s.label
+        );
+    }
 
     // Every instant name the pipeline journals is in the canonical
     // registry, and the registry stays sorted (same discipline as the
@@ -141,15 +153,8 @@ fn clean_run_trace_has_gate_spans_and_session_flows() {
                 "instant {name} journaled but missing from xdata_obs::names::ALL_INSTANTS"
             );
         }
-        if let obs::TraceEventKind::Flow { name, .. } = &e.kind {
-            assert!(
-                obs::FLOW_NAMES.contains(&name.as_str()),
-                "flow {name} journaled but missing from xdata_obs::names::FLOW_NAMES"
-            );
-        }
     }
     assert!(obs::ALL_INSTANTS.windows(2).all(|w| w[0] < w[1]), "ALL_INSTANTS not sorted");
-    assert!(obs::FLOW_NAMES.windows(2).all(|w| w[0] < w[1]), "FLOW_NAMES not sorted");
 }
 
 #[test]
@@ -170,8 +175,8 @@ fn critical_path_tiles_the_root_span_on_a_real_trace() {
     // `stack self_ns`, non-negative, and the root frame appears.
     let folded = log.to_folded();
     assert!(folded.lines().any(|l| l.starts_with("generate ")), "root frame missing:\n{folded}");
-    // Worker threads root their own stacks at the solve span; the inline
-    // `--jobs 1` path nests it under `generate` instead.
+    // Generation runs on the calling thread, so the solve frame nests
+    // under `generate`.
     assert!(
         folded
             .lines()
